@@ -4,7 +4,7 @@ The static-analysis suite runs on every CI push, so its wall-clock is
 part of the edit-compile-test loop and deserves the same regression
 tracking as the protocol hot paths.  The bench parses a deterministic
 sorted prefix of ``src/repro`` (scaled by ``payload_scale``) and runs
-all fifteen passes — per-module and project-wide, including the CFG
+all eleven passes — per-module and project-wide, including the CFG
 walks behind budget-leak and state-drift — returning the
 file/pass/finding counts as the pinned figures.
 

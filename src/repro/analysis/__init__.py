@@ -7,25 +7,19 @@ enforced by a single ``assert`` and hand-discipline.  This subsystem
 turns those conventions into machine-checked invariants that run before
 the test suite does:
 
-- ``wire-width`` — every ``struct`` format string is parseable, uses
-  explicit network byte order, agrees with the documented constants in
-  :mod:`repro.core.types`, and matches literal slice widths at its call
-  sites (Appendix A fixed-field format).
+- ``wire-drift`` — every ``struct`` format string is parseable and
+  uses explicit network byte order; marked and required format strings,
+  size asserts, literal unpack slice widths, the codec docstring's
+  offset table and the generated block in ``docs/wire-format.md`` all
+  agree with the single header-width table in
+  :mod:`repro.core.wire_table` (Appendix A fixed-field format).
 - ``codec-symmetry`` — every public ``encode_*`` has a ``decode_*``
   twin in the same module, and vice versa.
-- ``determinism`` — no direct ``random`` / ``time.time`` /
-  ``datetime.now`` / ``os.urandom`` inside the simulator, transport or
-  host packages; stochastic behaviour routes through
-  :mod:`repro.netsim.rng` so benchmark runs are reproducible.
 - ``exception-discipline`` — protocol layers raise only the exception
   types defined in :mod:`repro.core.errors` (plus a short builtin
   allowlist), and never use bare/overbroad ``except``.
 - ``export-drift`` — every ``__all__`` entry exists and every public
   top-level def/class is either exported or underscore-private.
-- ``wire-drift`` — ``struct`` format strings carrying a
-  ``# wire-table:`` marker, the codec docstring's offset table, and the
-  generated block in ``docs/wire-format.md`` all agree with the single
-  header-width table in :mod:`repro.core.wire_table`.
 - ``budget-leak`` — a borrow checker for
   :class:`~repro.host.budget.SharedPlacementBudget` /
   :class:`~repro.host.memory.TouchLedger` acquire tokens, built on the
@@ -34,24 +28,23 @@ the test suite does:
   ``acquire()`` must reach a ``release()`` or an ownership transfer on
   *every* path, exception edges included.
 
-Six interprocedural passes run over the whole-program import/call
-graph (:mod:`repro.analysis.graph`):
+Interprocedural passes run over the whole-program import/call graph
+(:mod:`repro.analysis.graph`):
 
+- ``determinism`` — one table of ambient authority (wall clock, OS
+  entropy, the global ``random`` stream, OS I/O) checked three ways:
+  no import or use of it inside the simulator, transport or host
+  packages; none reachable from a transport/host/core entry point
+  (only :mod:`repro.netsim.rng` may touch the OS); and no unseeded
+  ``random.Random`` reaching a simulator callable on *any* call path,
+  however many helper hops it is laundered through.
 - ``layering`` — imports follow the architecture DAG of
   ``docs/architecture.md``; no layer imports upward.
-- ``rng-flow`` — an unseeded ``random.Random`` may not reach
-  netsim/transport on *any* call path, however many helper hops it is
-  laundered through.
 - ``hot-path-copy`` — no payload copies (``bytes()``, slices,
   ``+``-concat) on the receive paths; the static form of the paper's
   touch-once budget.
 - ``mutable-sharing`` — scheduled callbacks never mutate module-level
   shared state.
-- ``seam-purity`` — no ambient OS authority (wall clock, sockets, OS
-  entropy) anywhere reachable from a transport/host/core entry point;
-  only the designated adapter modules may touch the OS.
-- ``async-discipline`` — nothing reachable from a coroutine calls a
-  known-blocking primitive, and coroutine calls are always awaited.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
 sanitizer (``REPRO_SIMSAN=1`` / ``pytest --simsan``) that fingerprints

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 #: Inline suppression marker.  ``# protolint: ignore`` silences every
-#: pass on that line; ``# protolint: ignore[wire-width,export-drift]``
+#: pass on that line; ``# protolint: ignore[wire-drift,export-drift]``
 #: silences only the named passes.
 _SUPPRESS_RE = re.compile(r"#\s*protolint:\s*ignore(?:\[([a-zA-Z0-9_,\- ]+)\])?")
 
@@ -42,7 +42,7 @@ class Finding:
     """One analyzer finding.
 
     Attributes:
-        pass_id: id of the pass that produced it (e.g. ``wire-width``).
+        pass_id: id of the pass that produced it (e.g. ``wire-drift``).
         path: file path as given to the runner (posix, repo-relative
             when invoked from the repo root).
         line: 1-based source line.
@@ -224,7 +224,7 @@ class Pass:
 class ProjectPass(Pass):
     """A pass that analyzes the whole module set at once.
 
-    Interprocedural passes (layering, rng-flow, hot-path-copy) need the
+    Interprocedural passes (layering, determinism, hot-path-copy) need the
     import/call graph of every collected module; the runner builds one
     :class:`~repro.analysis.graph.ProjectGraph` and hands it to
     :meth:`check_project`.  :meth:`check` is a no-op so a

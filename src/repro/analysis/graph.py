@@ -111,6 +111,8 @@ class ProjectGraph:
         #: ``from pkg import name`` edges where *name* may itself be a
         #: module — resolvable only once every unit has been added.
         self._deferred_edges: list[tuple[str, str, int]] = []
+        #: qualname -> every AST node of the function, walked once.
+        self._nodes: dict[str, list[ast.AST]] = {}
         for unit in units:
             self._add_unit(unit)
         for importer, candidate, line in self._deferred_edges:
@@ -244,6 +246,12 @@ class ProjectGraph:
             return None
         return f"{base}.{rest}" if rest else base
 
+    def resolve_expr(self, module: str, expr: ast.expr) -> str | None:
+        """Qualified target of a Name/Attribute chain such as a call's
+        ``func``; None for any other expression or an unbound head."""
+        dotted = dotted_name(expr)
+        return None if dotted is None else self.resolve_dotted(module, dotted)
+
     def resolve_call(
         self, info: FunctionInfo, call: ast.Call
     ) -> tuple[set[str], bool]:
@@ -283,8 +291,17 @@ class ProjectGraph:
             return set(self.by_name.get(func.attr, [])), False
         return set(), False
 
+    def nodes_in(self, info: FunctionInfo) -> list[ast.AST]:
+        """Every AST node of *info*, walked once per graph and shared by
+        every pass that asks.  Passes racing under ``--jobs`` can at worst
+        build the same list twice."""
+        nodes = self._nodes.get(info.qualname)
+        if nodes is None:
+            nodes = self._nodes[info.qualname] = list(ast.walk(info.node))
+        return nodes
+
     def calls_in(self, info: FunctionInfo) -> Iterator[ast.Call]:
-        for node in ast.walk(info.node):
+        for node in self.nodes_in(info):
             if isinstance(node, ast.Call):
                 yield node
 

@@ -1,12 +1,13 @@
-"""The fifteen protolint passes (see :mod:`repro.analysis` for overview).
+"""The eleven protolint passes (see :mod:`repro.analysis` for overview).
 
-Eight are per-module AST checks; four are interprocedural, running over
-the :class:`~repro.analysis.graph.ProjectGraph` the runner builds from
-the full module set; and four (budget-leak, hot-path-copy,
-async-discipline, state-drift) are built on the
+Eight are per-module AST checks and three (determinism, layering,
+hot-path-copy) run over the :class:`~repro.analysis.graph.ProjectGraph`
+the runner builds from the full module set.  budget-leak,
+hot-path-copy and state-drift are built on the
 :mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` engine or
-the call graph's reachability queries.  The two newest passes bind the
-code to its declarative models: state-drift cross-checks lifecycle
+the call graph's reachability queries.  Three passes bind the code to
+a declarative model: wire-drift checks every header width against
+:mod:`repro.core.wire_table`, state-drift cross-checks lifecycle
 mutations against :mod:`repro.core.state_table`, and shard-ownership
 checks that mutations stay inside their declared owner domain.
 """
@@ -14,7 +15,6 @@ checks that mutations stay inside their declared owner domain.
 from __future__ import annotations
 
 from repro.analysis.core import Pass
-from repro.analysis.passes.async_discipline import AsyncDisciplinePass
 from repro.analysis.passes.budget_leak import BudgetLeakPass
 from repro.analysis.passes.codec_symmetry import CodecSymmetryPass
 from repro.analysis.passes.determinism import DeterminismPass
@@ -23,15 +23,11 @@ from repro.analysis.passes.export_drift import ExportDriftPass
 from repro.analysis.passes.hot_path_copy import HotPathCopyPass
 from repro.analysis.passes.layering import LayeringPass
 from repro.analysis.passes.mutable_sharing import MutableSharingPass
-from repro.analysis.passes.rng_flow import RngFlowPass
-from repro.analysis.passes.seam_purity import SeamPurityPass
 from repro.analysis.passes.shard_ownership import ShardOwnershipPass
 from repro.analysis.passes.state_drift import StateDriftPass
 from repro.analysis.passes.wire_drift import WireDriftPass
-from repro.analysis.passes.wire_width import WireWidthPass
 
 __all__ = [
-    "WireWidthPass",
     "WireDriftPass",
     "CodecSymmetryPass",
     "DeterminismPass",
@@ -39,11 +35,8 @@ __all__ = [
     "ExportDriftPass",
     "BudgetLeakPass",
     "LayeringPass",
-    "RngFlowPass",
     "HotPathCopyPass",
     "MutableSharingPass",
-    "SeamPurityPass",
-    "AsyncDisciplinePass",
     "StateDriftPass",
     "ShardOwnershipPass",
     "all_passes",
@@ -53,7 +46,6 @@ __all__ = [
 def all_passes() -> list[Pass]:
     """Fresh instances of every pass, in documentation order."""
     return [
-        WireWidthPass(),
         WireDriftPass(),
         CodecSymmetryPass(),
         DeterminismPass(),
@@ -61,11 +53,8 @@ def all_passes() -> list[Pass]:
         ExportDriftPass(),
         BudgetLeakPass(),
         LayeringPass(),
-        RngFlowPass(),
         HotPathCopyPass(),
         MutableSharingPass(),
-        SeamPurityPass(),
-        AsyncDisciplinePass(),
         StateDriftPass(),
         ShardOwnershipPass(),
     ]

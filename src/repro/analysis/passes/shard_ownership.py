@@ -1,10 +1,9 @@
 """shard-ownership: every mutable has a declared owner domain.
 
-ROADMAP item 3 shards the endpoint by C.ID across workers; the data
-races that plan can introduce are exactly the mutations that cross an
-ownership boundary.  This pass makes the boundaries explicit *before*
-the concurrency exists — the static runway guard, the way
-``async-discipline`` guards the asyncio runner of item 1.
+The endpoint is sharded by C.ID across workers; the data races that
+sharding can introduce are exactly the mutations that cross an
+ownership boundary.  This pass keeps those boundaries explicit even
+though the single-process simulator runs every shard on one thread.
 
 Every class reachable from the transport/host entry points is placed
 in one of four owner domains, narrowest first:

@@ -1,7 +1,7 @@
 """repro.obs — the simulator's observability layer.
 
 Zero-dependency metrics (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`, :class:`Timer` in a :class:`Registry`), a
+:class:`Histogram` in a :class:`Registry`), a
 structured per-layer tracer (:class:`Tracer`), pluggable exporters
 (JSON lines + human tables), and a ``python -m repro.obs report`` CLI.
 
@@ -48,13 +48,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricSample,
     Registry,
-    Timer,
 )
 from repro.obs.runtime import (
     CounterHandle,
     GaugeHandle,
     HistogramHandle,
-    TimerHandle,
     TracerHandle,
     active_registry,
     active_tracer,
@@ -66,7 +64,6 @@ from repro.obs.runtime import (
     labelled_gauge,
     labelled_name,
     session,
-    timer,
     tracer,
     uninstall,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "Registry",
     "MetricSample",
     "Tracer",
@@ -100,12 +96,10 @@ __all__ = [
     "CounterHandle",
     "GaugeHandle",
     "HistogramHandle",
-    "TimerHandle",
     "TracerHandle",
     "counter",
     "gauge",
     "histogram",
-    "timer",
     "tracer",
     "labelled_name",
     "labelled_counter",

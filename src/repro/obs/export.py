@@ -1,7 +1,7 @@
 """Exporters: JSON lines for machines, aligned tables for humans.
 
 The JSON-lines format is one self-describing record per line —
-``{"kind": "counter"|"gauge"|"histogram"|"timer"|"event"|"span", ...}``
+``{"kind": "counter"|"gauge"|"histogram"|"event"|"span", ...}``
 — so a trace file concatenates, greps, and streams trivially.  Keys
 are sorted and nothing nondeterministic (timestamps, pids, hostnames)
 is emitted, so a seeded run produces a byte-identical trace file.
@@ -86,7 +86,7 @@ def render_table(registry: Registry, tracer: Tracer | None = None) -> str:
                 f"{_num(sample.data['value'])}  "
                 f"(high-water {_num(sample.data['high_water'])})"
             )
-        else:  # histogram / timer
+        else:  # histogram
             detail = _histogram_cells(sample.data)
         by_scope.setdefault(sample.scope, []).append((sample.kind, sample.name, detail))
 

@@ -3,15 +3,14 @@
 The observability layer measures the paper's quantitative claims from
 inside the simulator: data touches and bus crossings (Section 1 /
 Figure 1), retransmissions and disorder (Section 3.3), and the Table 1
-verification outcomes.  Four instrument kinds cover those shapes:
+verification outcomes.  Three instrument kinds cover those shapes:
 
 - :class:`Counter` — monotonically increasing totals (frames sent,
   bytes touched, TPDUs verified);
 - :class:`Gauge` — instantaneous levels with a high-water mark (queue
   depth, reassembly-buffer occupancy — the lock-up quantities);
 - :class:`Histogram` — distributions over fixed log-scale (power-of-
-  two) buckets (out-of-order distance, ACK batch size);
-- :class:`Timer` — a histogram of *simulated-time* durations.
+  two) buckets (out-of-order distance, ACK batch size).
 
 All time comes from a caller-supplied clock (the event loop's ``now``),
 never the wall clock, so instrumented runs stay exactly reproducible.
@@ -20,9 +19,8 @@ never the wall clock, so instrumented runs stay exactly reproducible.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 __all__ = [
     "EXP_LO",
@@ -33,7 +31,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "MetricSample",
     "Registry",
 ]
@@ -160,39 +157,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """A histogram of simulated-time durations.
-
-    The clock is injected by the :class:`Registry` (ultimately the
-    event loop's ``now``); wall-clock time never enters the data.
-    """
-
-    __slots__ = ("scope", "name", "help", "histogram", "_clock")
-
-    def __init__(
-        self, scope: str, name: str, clock: Callable[[], float], help: str = ""
-    ) -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self.histogram = Histogram(scope, name, help)
-        self._clock = clock
-
-    def observe(self, duration: float) -> None:
-        self.histogram.observe(duration)
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.observe(self._clock() - start)
-
-    def sample(self) -> dict[str, object]:
-        return self.histogram.sample()
-
-
 @dataclass(frozen=True, slots=True)
 class MetricSample:
     """One instrument's exported state."""
@@ -224,12 +188,12 @@ class Registry:
     """Holds instruments keyed by (scope, name); creates them on demand.
 
     One registry corresponds to one observed run.  The ``clock``
-    attribute supplies simulated time to timers (and is shared with the
-    tracer when installed through :func:`repro.obs.install`).
+    attribute reports simulated time through :meth:`now` (and is shared
+    with the tracer when installed through :func:`repro.obs.install`).
     """
 
     clock: Callable[[], float] = _zero_clock
-    _instruments: dict[tuple[str, str], Counter | Gauge | Histogram | Timer] = field(
+    _instruments: dict[tuple[str, str], Counter | Gauge | Histogram] = field(
         default_factory=dict
     )
 
@@ -247,18 +211,6 @@ class Registry:
 
     def histogram(self, scope: str, name: str, help: str = "") -> Histogram:
         return self._get(Histogram, scope, name, help)
-
-    def timer(self, scope: str, name: str, help: str = "") -> Timer:
-        existing = self._instruments.get((scope, name))
-        if existing is None:
-            timer = Timer(scope, name, self.now, help)
-            self._instruments[(scope, name)] = timer
-            return timer
-        if not isinstance(existing, Timer):
-            raise ValueError(
-                f"{scope}.{name} is a {type(existing).__name__}, not a Timer"
-            )
-        return existing
 
     def _get(
         self,
@@ -290,6 +242,6 @@ class Registry:
             )
         return out
 
-    def get(self, scope: str, name: str) -> Counter | Gauge | Histogram | Timer | None:
+    def get(self, scope: str, name: str) -> Counter | Gauge | Histogram | None:
         """Look up an instrument without creating it."""
         return self._instruments.get((scope, name))

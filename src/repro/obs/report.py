@@ -112,7 +112,7 @@ def summarize(
     dropped = 0
     for record in records:
         kind = record.get("kind")
-        if kind in ("counter", "gauge", "histogram", "timer"):
+        if kind in ("counter", "gauge", "histogram"):
             record_scope = str(record.get("scope", "?"))
             if scope is not None and record_scope != scope:
                 continue

@@ -27,19 +27,17 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from repro.obs.metrics import Counter, Gauge, Histogram, Registry, Timer
+from repro.obs.metrics import Counter, Gauge, Histogram, Registry
 from repro.obs.tracing import Tracer
 
 __all__ = [
     "CounterHandle",
     "GaugeHandle",
     "HistogramHandle",
-    "TimerHandle",
     "TracerHandle",
     "counter",
     "gauge",
     "histogram",
-    "timer",
     "tracer",
     "labelled_name",
     "labelled_counter",
@@ -98,11 +96,6 @@ class _NullTracer:
 
 _NULL = _NullInstrument()
 _NULL_TRACER = _NullTracer()
-
-
-@contextmanager
-def _null_measure() -> Iterator[None]:
-    yield
 
 
 # ----------------------------------------------------------------------
@@ -174,32 +167,6 @@ class HistogramHandle:
         )
 
 
-class TimerHandle:
-    __slots__ = ("scope", "name", "help", "_impl")
-
-    def __init__(self, scope: str, name: str, help: str = "") -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self._impl: Timer | None = None
-
-    def observe(self, duration: float) -> None:
-        if self._impl is not None:
-            self._impl.observe(duration)
-
-    def measure(self) -> "object":
-        """Context manager timing the body in simulated seconds."""
-        if self._impl is None:
-            return _null_measure()
-        return self._impl.measure()
-
-    def _bind(self, registry: Registry | None) -> None:
-        self._impl = (
-            None if registry is None
-            else registry.timer(self.scope, self.name, self.help)
-        )
-
-
 class TracerHandle:
     """A lazily bound, scope-pinned tracer.
 
@@ -226,7 +193,7 @@ class TracerHandle:
         self._impl = _NULL_TRACER if tracer_obj is None else tracer_obj
 
 
-_AnyHandle = CounterHandle | GaugeHandle | HistogramHandle | TimerHandle
+_AnyHandle = CounterHandle | GaugeHandle | HistogramHandle
 
 # ----------------------------------------------------------------------
 # Global state
@@ -239,7 +206,7 @@ _tracer_handles: dict[str, TracerHandle] = {}
 
 
 def _handle(
-    kind: type[CounterHandle] | type[GaugeHandle] | type[HistogramHandle] | type[TimerHandle],
+    kind: type[CounterHandle] | type[GaugeHandle] | type[HistogramHandle],
     scope: str,
     name: str,
     help: str,
@@ -272,13 +239,6 @@ def histogram(scope: str, name: str, help: str = "") -> HistogramHandle:
     """Declare (or fetch) the histogram handle for ``scope``/``name``."""
     handle = _handle(HistogramHandle, scope, name, help)
     assert isinstance(handle, HistogramHandle)
-    return handle
-
-
-def timer(scope: str, name: str, help: str = "") -> TimerHandle:
-    """Declare (or fetch) the timer handle for ``scope``/``name``."""
-    handle = _handle(TimerHandle, scope, name, help)
-    assert isinstance(handle, TimerHandle)
     return handle
 
 
@@ -336,8 +296,9 @@ def install(
     """Make a registry + tracer the active sink for every handle.
 
     Creates fresh ones when not supplied.  ``clock`` (typically
-    ``lambda: loop.now``) feeds both the tracer's timestamps and any
-    timers; it must be simulated time, never the wall clock.
+    ``lambda: loop.now``) feeds both the tracer's timestamps and the
+    registry's :meth:`~repro.obs.metrics.Registry.now`; it must be
+    simulated time, never the wall clock.
     """
     global _registry, _tracer
     _registry = registry if registry is not None else Registry()

@@ -1,4 +1,4 @@
-"""Fixture: an unseeded Random laundered through helpers into netsim."""
+"""Fixture: an unseeded Random laundered through helpers into netsim (determinism taint rule)."""
 
 import random
 

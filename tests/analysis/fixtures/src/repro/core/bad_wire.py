@@ -1,4 +1,4 @@
-"""wire-width fixture: struct formats that disagree with the wire docs."""
+"""wire-drift fixture: struct formats, size asserts and slices that disagree with the wire table."""
 
 import struct
 

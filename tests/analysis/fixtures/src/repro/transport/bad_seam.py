@@ -1,4 +1,4 @@
-"""Fixture: seam-purity true positives and near misses."""
+"""Fixture: determinism reachability-rule (ambient:) true positives and near misses."""
 
 import time
 

@@ -1,14 +1,21 @@
 """End-to-end tests for ``python -m repro.analysis``.
 
-The acceptance contract of ISSUE 1: exit 0 on the real tree with the
-shipped (empty) baseline, non-zero on the violation fixtures, valid
-JSON under ``--format json``.
+The acceptance contract: exit 0 on the real tree with the shipped
+(empty) baseline, non-zero on the violation fixtures, valid JSON under
+``--format json``.
+
+A whole-tree run takes seconds, so tests that only read a run's output
+share one process per distinct argument list (:func:`cached_protolint`,
+cleared when the module finishes).  Determinism tests compare that
+cached run against a second, fresh process.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +29,6 @@ REPO_ROOT = Path(__file__).parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 
 ALL_PASS_IDS = [
-    "async-discipline",
     "budget-leak",
     "codec-symmetry",
     "determinism",
@@ -31,13 +37,13 @@ ALL_PASS_IDS = [
     "hot-path-copy",
     "layering",
     "mutable-sharing",
-    "rng-flow",
-    "seam-purity",
     "shard-ownership",
     "state-drift",
     "wire-drift",
-    "wire-width",
 ]
+
+#: Pass ids merged away or deleted; a baseline entry naming one is orphaned.
+RETIRED_PASS_IDS = ["async-discipline", "rng-flow", "seam-purity", "wire-width"]
 
 
 def run_protolint(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess[str]:
@@ -56,14 +62,35 @@ def run_protolint(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProc
     )
 
 
+@functools.lru_cache(maxsize=None)
+def cached_protolint(*args: str) -> subprocess.CompletedProcess[str]:
+    """One shared run per distinct argument list (read-only results)."""
+    return run_protolint(*args)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _module_scoped_runs():
+    yield
+    cached_protolint.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def fixture_baseline(tmp_path_factory) -> Path:
+    """A baseline written over the fixture tree, shared read-only."""
+    baseline = tmp_path_factory.mktemp("baseline") / "baseline.json"
+    write = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--write-baseline")
+    assert write.returncode == 0, write.stdout + write.stderr
+    return baseline
+
+
 class TestRealTree:
     def test_strict_run_is_clean(self):
-        result = run_protolint("--strict")
+        result = cached_protolint("--strict")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "0 error(s), 0 warning(s)" in result.stdout
 
     def test_json_output_is_valid_and_empty(self):
-        result = run_protolint("--format", "json")
+        result = cached_protolint("--format", "json")
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)
         assert payload["version"] == 1
@@ -75,14 +102,14 @@ class TestRealTree:
         # Regression for deterministic output ordering: findings are
         # sorted, pass lists are sorted, and nothing (hash seeds, dict
         # order, filesystem order) may leak into the report.
-        first = run_protolint("--format", "json", "src/repro")
+        first = cached_protolint("--format", "json", "src/repro")
         second = run_protolint("--format", "json", "src/repro")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
 
     def test_fixture_runs_are_byte_identical_too(self):
         # Same property when findings are actually present.
-        first = run_protolint("--format", "json", str(FIXTURES))
+        first = cached_protolint("--format", "json", str(FIXTURES))
         second = run_protolint("--format", "json", str(FIXTURES))
         assert first.returncode == second.returncode == 1
         assert first.stdout == second.stdout
@@ -90,38 +117,35 @@ class TestRealTree:
 
 class TestFixtures:
     def test_fixtures_fail_with_nonzero_exit(self):
-        result = run_protolint(str(FIXTURES))
+        result = cached_protolint(str(FIXTURES))
         assert result.returncode == 1
         assert "error" in result.stdout
 
     def test_fixture_findings_cover_every_pass(self):
-        result = run_protolint("--format", "json", str(FIXTURES))
+        result = cached_protolint("--format", "json", str(FIXTURES))
         assert result.returncode == 1
         payload = json.loads(result.stdout)
         reported = {finding["pass"] for finding in payload["findings"]}
         assert reported == set(ALL_PASS_IDS)
 
     def test_select_limits_passes(self):
-        result = run_protolint("--format", "json", "--select", "export-drift", str(FIXTURES))
+        result = cached_protolint("--format", "json", "--select", "export-drift", str(FIXTURES))
         payload = json.loads(result.stdout)
         assert {finding["pass"] for finding in payload["findings"]} == {"export-drift"}
 
     def test_disable_removes_pass(self):
-        result = run_protolint(
+        result = cached_protolint(
             "--format", "json", "--disable", "export-drift", str(FIXTURES)
         )
         payload = json.loads(result.stdout)
         assert "export-drift" not in {f["pass"] for f in payload["findings"]}
 
     def test_unknown_pass_id_is_usage_error(self):
-        result = run_protolint("--select", "no-such-pass")
+        result = cached_protolint("--select", "no-such-pass")
         assert result.returncode == 2
 
-    def test_baseline_accepts_known_findings(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--write-baseline")
-        assert write.returncode == 0, write.stdout + write.stderr
-        rerun = run_protolint(str(FIXTURES), "--baseline", str(baseline))
+    def test_baseline_accepts_known_findings(self, fixture_baseline):
+        rerun = run_protolint(str(FIXTURES), "--baseline", str(fixture_baseline))
         assert rerun.returncode == 0, rerun.stdout + rerun.stderr
         assert "baselined" in rerun.stdout
 
@@ -151,22 +175,24 @@ class TestBaselineFile:
 
 
 class TestListPasses:
-    def test_lists_all_fifteen(self):
-        result = run_protolint("--list-passes")
+    def test_lists_all_eleven(self):
+        result = cached_protolint("--list-passes")
         assert result.returncode == 0
+        listed = [line.split()[0] for line in result.stdout.splitlines() if line.strip()]
+        assert sorted(listed) == ALL_PASS_IDS
         for pass_id in ALL_PASS_IDS:
             assert pass_id in result.stdout
 
 
 class TestGithubFormat:
     def test_real_tree_emits_no_annotations(self):
-        result = run_protolint("--strict", "--format", "github")
+        result = cached_protolint("--strict", "--format", "github")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "::error" not in result.stdout
         assert "protolint: 0 finding(s)" in result.stdout
 
     def test_fixtures_emit_annotations_and_exit_nonzero(self):
-        result = run_protolint("--format", "github", str(FIXTURES))
+        result = cached_protolint("--format", "github", str(FIXTURES))
         assert result.returncode == 1
         lines = [ln for ln in result.stdout.splitlines() if ln.startswith("::")]
         assert lines, result.stdout
@@ -193,14 +219,14 @@ class TestGithubFormat:
         assert "\nmulti-line" not in rendered
 
     def test_related_location_is_appended_to_annotations(self):
-        result = run_protolint("--format", "github", "--select", "state-drift", str(FIXTURES))
+        result = cached_protolint("--format", "github", "--select", "state-drift", str(FIXTURES))
         assert result.returncode == 1
         assert "(see src/repro/core/state_table.py:" in result.stdout
 
 
 class TestSarifFormat:
     def test_real_tree_emits_valid_empty_sarif(self):
-        result = run_protolint("--format", "sarif", "src/repro")
+        result = cached_protolint("--format", "sarif", "src/repro")
         assert result.returncode == 0, result.stdout + result.stderr
         log = json.loads(result.stdout)
         assert log["version"] == "2.1.0"
@@ -212,7 +238,7 @@ class TestSarifFormat:
         assert rule_ids == ALL_PASS_IDS
 
     def test_fixture_findings_carry_locations_and_fingerprints(self):
-        result = run_protolint("--format", "sarif", str(FIXTURES))
+        result = cached_protolint("--format", "sarif", str(FIXTURES))
         assert result.returncode == 1
         log = json.loads(result.stdout)
         [run] = log["runs"]
@@ -226,13 +252,13 @@ class TestSarifFormat:
             assert item["partialFingerprints"]["protolint/v1"]
 
     def test_sarif_output_is_deterministic(self):
-        first = run_protolint("--format", "sarif", str(FIXTURES))
+        first = cached_protolint("--format", "sarif", str(FIXTURES))
         second = run_protolint("--format", "sarif", str(FIXTURES))
         assert first.stdout == second.stdout
 
     def test_state_drift_findings_carry_related_locations(self):
         # The "implemented twice" drift links the declaring table row.
-        result = run_protolint("--format", "sarif", "--select", "state-drift", str(FIXTURES))
+        result = cached_protolint("--format", "sarif", "--select", "state-drift", str(FIXTURES))
         assert result.returncode == 1
         log = json.loads(result.stdout)
         [run] = log["runs"]
@@ -248,30 +274,30 @@ class TestSarifFormat:
 
 class TestJobs:
     def test_parallel_run_is_byte_identical(self):
-        serial = run_protolint("--format", "json", str(FIXTURES))
-        parallel = run_protolint("--format", "json", "--jobs", "4", str(FIXTURES))
+        serial = cached_protolint("--format", "json", str(FIXTURES))
+        parallel = cached_protolint("--format", "json", "--jobs", "4", str(FIXTURES))
         assert serial.returncode == parallel.returncode == 1
         assert serial.stdout == parallel.stdout
 
     def test_parallel_real_tree_is_byte_identical(self):
-        serial = run_protolint("--format", "json", "src/repro")
-        parallel = run_protolint("--format", "json", "--jobs", "4", "src/repro")
+        serial = cached_protolint("--format", "json", "src/repro")
+        parallel = cached_protolint("--format", "json", "--jobs", "4", "src/repro")
         assert serial.returncode == parallel.returncode == 0
         assert serial.stdout == parallel.stdout
 
     def test_jobs_must_be_positive(self):
-        result = run_protolint("--jobs", "0")
+        result = cached_protolint("--jobs", "0")
         assert result.returncode == 2
 
 
 class TestStateTableSubcommand:
     def test_check_passes_on_committed_docs(self):
-        result = run_protolint("state-table", "--check")
+        result = cached_protolint("state-table", "--check")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "up to date" in result.stdout
 
     def test_print_emits_generated_block(self):
-        result = run_protolint("state-table")
+        result = cached_protolint("state-table")
         assert result.returncode == 0
         assert "<!-- state-table:begin -->" in result.stdout
         assert "stateDiagram-v2" in result.stdout
@@ -286,19 +312,19 @@ class TestConfigFile:
         assert any(p.startswith("tests") for p in config["exclude"])
 
     def test_no_args_run_uses_config_and_is_clean(self):
-        result = run_protolint("--strict", "--format", "json")
+        result = cached_protolint("--strict", "--format", "json")
         assert result.returncode == 0, result.stdout + result.stderr
         payload = json.loads(result.stdout)
         # src/repro alone is ~60 files; benchmarks+examples push it up.
         src_only = json.loads(
-            run_protolint("--format", "json", "src/repro").stdout
+            cached_protolint("--format", "json", "src/repro").stdout
         )
         assert payload["files"] > src_only["files"]
 
     def test_explicit_paths_ignore_exclusions(self):
         # The fixture tree sits under the excluded tests/ prefix but is
         # analyzed when named explicitly.
-        result = run_protolint("--format", "json", str(FIXTURES))
+        result = cached_protolint("--format", "json", str(FIXTURES))
         payload = json.loads(result.stdout)
         assert payload["files"] > 0
 
@@ -311,39 +337,39 @@ class TestConfigFile:
 
 
 class TestCheckBaseline:
-    def test_fresh_baseline_exits_zero(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--write-baseline")
-        assert write.returncode == 0, write.stdout + write.stderr
-        check = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--check-baseline")
+    def test_fresh_baseline_exits_zero(self, fixture_baseline):
+        check = run_protolint(
+            str(FIXTURES), "--baseline", str(fixture_baseline), "--check-baseline"
+        )
         assert check.returncode == 0, check.stdout + check.stderr
         assert "baseline ok" in check.stdout
 
-    def test_stale_baseline_exits_nonzero(self, tmp_path):
+    def test_stale_baseline_exits_nonzero(self, fixture_baseline):
         # Baseline captured over the fixtures, then checked against the
         # clean real tree: every entry is stale.
-        baseline = tmp_path / "baseline.json"
-        write = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--write-baseline")
-        assert write.returncode == 0, write.stdout + write.stderr
-        check = run_protolint("--baseline", str(baseline), "--check-baseline")
+        check = run_protolint("--baseline", str(fixture_baseline), "--check-baseline")
         assert check.returncode == 1
         assert "stale baseline entry" in check.stdout
 
     def test_shipped_empty_baseline_is_trivially_fresh(self):
-        check = run_protolint("--check-baseline")
+        check = cached_protolint("--check-baseline")
         assert check.returncode == 0, check.stdout + check.stderr
         assert "baseline ok" in check.stdout
 
-    def test_entry_naming_deleted_pass_exits_nonzero(self, tmp_path):
-        # The entry's fingerprint still fires (not stale), but its pass
-        # was renamed away — the entry is orphaned and must be rejected.
+    def test_entry_naming_deleted_pass_exits_nonzero(self, fixture_baseline, tmp_path):
+        # Each entry's fingerprint still fires (not stale), but its pass
+        # was renamed or merged away — the entry is orphaned and must be
+        # rejected.  One entry per retired id, plus a made-up one.
         baseline = tmp_path / "baseline.json"
-        write = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--write-baseline")
-        assert write.returncode == 0, write.stdout + write.stderr
+        shutil.copy(fixture_baseline, baseline)
         payload = json.loads(baseline.read_text())
-        payload["findings"][0]["pass"] = "retired-pass"
+        retired = ["retired-pass", *RETIRED_PASS_IDS]
+        assert len(payload["findings"]) >= len(retired)
+        for entry, pass_id in zip(payload["findings"], retired):
+            entry["pass"] = pass_id
         baseline.write_text(json.dumps(payload))
         check = run_protolint(str(FIXTURES), "--baseline", str(baseline), "--check-baseline")
         assert check.returncode == 1
-        assert "unknown pass 'retired-pass'" in check.stdout
+        for pass_id in retired:
+            assert f"unknown pass {pass_id!r}" in check.stdout
         assert "stale baseline entry" not in check.stdout

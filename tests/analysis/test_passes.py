@@ -8,17 +8,25 @@ tree-wide properties, on the real wire-format core) and assert silence.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.core import Finding, ModuleUnit, module_name_for_path, run_passes
+from repro.analysis.core import (
+    Finding,
+    ModuleUnit,
+    ProjectPass,
+    module_name_for_path,
+    run_passes,
+)
+from repro.analysis.graph import ProjectGraph
 from repro.analysis.passes import (
     CodecSymmetryPass,
     DeterminismPass,
     ExceptionDisciplinePass,
     ExportDriftPass,
-    WireWidthPass,
+    WireDriftPass,
     all_passes,
 )
 
@@ -30,8 +38,12 @@ def unit(path: Path) -> ModuleUnit:
     return ModuleUnit.from_path(path)
 
 
-def findings_for(pass_obj, path: Path) -> list[Finding]:
-    return list(pass_obj.check(unit(path)))
+def findings_for(pass_obj, source: Path | ModuleUnit) -> list[Finding]:
+    """Raw (unsuppressed) findings of one pass over one module."""
+    one = source if isinstance(source, ModuleUnit) else unit(source)
+    if isinstance(pass_obj, ProjectPass):
+        return list(pass_obj.check_project(ProjectGraph([one])))
+    return list(pass_obj.check(one))
 
 
 def symbols(findings: list[Finding]) -> set[str]:
@@ -55,22 +67,22 @@ class TestModuleNaming:
 
 class TestWireWidth:
     def test_catches_width_mismatch_against_documented_constant(self):
-        found = symbols(findings_for(WireWidthPass(), FIXTURES / "core" / "bad_wire.py"))
+        found = symbols(findings_for(WireDriftPass(), FIXTURES / "core" / "bad_wire.py"))
         assert "_HEADER:size-mismatch" in found
 
     def test_catches_native_byte_order(self):
-        found = symbols(findings_for(WireWidthPass(), FIXTURES / "core" / "bad_wire.py"))
+        found = symbols(findings_for(WireDriftPass(), FIXTURES / "core" / "bad_wire.py"))
         assert "fmt:HBB:endian" in found
 
     def test_catches_slice_width_mismatch(self):
-        found = symbols(findings_for(WireWidthPass(), FIXTURES / "core" / "bad_wire.py"))
+        found = symbols(findings_for(WireDriftPass(), FIXTURES / "core" / "bad_wire.py"))
         assert "slice:'>HHI':6" in found
 
     def test_clean_module_passes(self):
-        assert findings_for(WireWidthPass(), CLEAN) == []
+        assert findings_for(WireDriftPass(), CLEAN) == []
 
     def test_real_codec_passes(self):
-        assert findings_for(WireWidthPass(), REPO_SRC / "core" / "codec.py") == []
+        assert findings_for(WireDriftPass(), REPO_SRC / "core" / "codec.py") == []
 
     def test_real_codec_requires_size_guard(self, tmp_path):
         source = (REPO_SRC / "core" / "codec.py").read_text()
@@ -82,7 +94,7 @@ class TestWireWidth:
         fake = tmp_path / "repro" / "core" / "codec.py"
         fake.parent.mkdir(parents=True)
         fake.write_text(stripped)
-        found = symbols(findings_for(WireWidthPass(), fake))
+        found = symbols(findings_for(WireDriftPass(), fake))
         assert "_HEADER:unguarded" in found
 
 
@@ -112,11 +124,42 @@ class TestDeterminism:
         assert "use:os.urandom" in found
 
     def test_out_of_scope_module_is_ignored(self):
-        # Same source, but under repro.core — the pass only polices the
-        # simulator/transport/host packages.
+        # Same source, but under repro.core — the module-scope rule only
+        # polices the simulator/transport/host packages.  A core function
+        # is a seam entry point, so the reachability rule still reports
+        # its ambient calls.
         src_unit = unit(FIXTURES / "netsim" / "bad_random.py")
         src_unit.module = "repro.core.bad_random"
-        assert list(DeterminismPass().check(src_unit)) == []
+        found = symbols(findings_for(DeterminismPass(), src_unit))
+        assert not {s for s in found if s.startswith(("import:", "from:", "use:"))}
+        assert found == {
+            "ambient:repro.core.bad_random.jittered_delay->random.random",
+            "ambient:repro.core.bad_random.jittered_delay->time.time",
+            "ambient:repro.core.bad_random.random_token->os.urandom",
+            "ambient:repro.core.bad_random.random_token->random.Random()",
+        }
+
+    def test_module_scope_and_reachability_share_one_table(self):
+        # One banned table serves both rules: a transport helper calling
+        # time.monotonic is reported as a module-scope use and as
+        # ambient authority reachable from the seam.
+        found = findings_for(DeterminismPass(), FIXTURES / "transport" / "bad_seam.py")
+        on_line = {f.symbol for f in found if f.line == 20}
+        assert on_line == {
+            "use:time.monotonic",
+            "ambient:repro.transport.bad_seam._ambient_clock_helper->time.monotonic",
+        }
+
+    def test_from_import_of_banned_name_is_flagged(self, tmp_path):
+        mod = tmp_path / "repro" / "netsim" / "sleepy.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text(
+            "from datetime import timedelta, datetime\n"
+            "from time import perf_counter, sleep\n"
+            "__all__ = []\n"
+        )
+        found = symbols(findings_for(DeterminismPass(), mod))
+        assert found == {"from:datetime:datetime", "from:time:sleep"}
 
     def test_rng_module_is_exempt(self):
         assert findings_for(DeterminismPass(), REPO_SRC / "netsim" / "rng.py") == []
@@ -212,10 +255,36 @@ class TestSuppressionAndFingerprints:
         assert relocated.fingerprint == f1.fingerprint
 
 
+@pytest.fixture(scope="module")
+def real_tree() -> list[ModuleUnit]:
+    """The real tree, parsed once for every parametrized pass."""
+    return [ModuleUnit.from_path(path) for path in sorted(REPO_SRC.rglob("*.py"))]
+
+
+#: Rules that were once passes of their own and now live inside a wider
+#: pass keep their own clean-tree case: the wider pass runs and only the
+#: findings whose symbol matches the rule count.
+FOLDED_RULES = {
+    "rng-flow": (DeterminismPass, re.compile(r"^taint")),
+    "seam-purity": (DeterminismPass, re.compile(r"^ambient:")),
+    "wire-width": (WireDriftPass, re.compile(r"^(fmt|slice):|:(size-mismatch|unguarded)$")),
+}
+
+CLEAN_TREE_CASES = [pytest.param(p, None, id=p.id) for p in all_passes()] + [
+    pytest.param(cls(), rule, id=name) for name, (cls, rule) in FOLDED_RULES.items()
+]
+
+
 class TestWholeTree:
-    @pytest.mark.parametrize("pass_obj", all_passes(), ids=lambda p: p.id)
-    def test_real_tree_is_clean(self, pass_obj):
-        units = [
-            ModuleUnit.from_path(path) for path in sorted(REPO_SRC.rglob("*.py"))
-        ]
-        assert run_passes(units, [pass_obj]) == []
+    @pytest.mark.parametrize(("pass_obj", "rule"), CLEAN_TREE_CASES)
+    def test_real_tree_is_clean(self, pass_obj, rule, real_tree):
+        findings = run_passes(real_tree, [pass_obj])
+        if rule is not None:
+            findings = [f for f in findings if rule.search(f.symbol)]
+        assert findings == []
+
+    @pytest.mark.parametrize("name", sorted(FOLDED_RULES))
+    def test_folded_rule_matches_its_fixture(self, name):
+        cls, rule = FOLDED_RULES[name]
+        units = [unit(path) for path in sorted(FIXTURES.rglob("*.py"))]
+        assert any(rule.search(f.symbol) for f in run_passes(units, [cls()]))

@@ -13,10 +13,10 @@ from pathlib import Path
 from repro.analysis.core import Finding, ModuleUnit, run_passes
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.passes import (
+    DeterminismPass,
     HotPathCopyPass,
     LayeringPass,
     MutableSharingPass,
-    RngFlowPass,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
@@ -60,8 +60,10 @@ class TestLayering:
 
 
 class TestRngFlow:
+    """The taint rule of the determinism pass."""
+
     def test_laundered_unseeded_random_is_flagged(self):
-        findings = project_findings(RngFlowPass(), FIXTURES / "app" / "bad_rng_flow.py")
+        findings = project_findings(DeterminismPass(), FIXTURES / "app" / "bad_rng_flow.py")
         assert symbols(findings) == {
             "taint:repro.app.bad_rng_flow.attach->repro.netsim.link.Link"
         }
@@ -71,7 +73,7 @@ class TestRngFlow:
     def test_seeded_near_misses_stay_silent(self):
         # attach_seeded (substream) and attach_direct_seed (Random(42))
         # share the fixture; the single finding above proves both clean.
-        findings = project_findings(RngFlowPass(), FIXTURES / "app" / "bad_rng_flow.py")
+        findings = project_findings(DeterminismPass(), FIXTURES / "app" / "bad_rng_flow.py")
         assert len(findings) == 1
 
     def test_direct_unseeded_kwarg_without_resolvable_callee(self, tmp_path):
@@ -83,7 +85,7 @@ class TestRngFlow:
             "def go(thing):\n"
             "    thing.attach(rng=random.Random())\n"
         )
-        findings = project_findings(RngFlowPass(), path)
+        findings = project_findings(DeterminismPass(), path)
         assert symbols(findings) == {"taint-kwarg:repro.app.direct.go"}
 
 

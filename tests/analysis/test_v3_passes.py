@@ -1,10 +1,10 @@
-"""True-positive / near-miss tests for the protolint v3 passes.
+"""True-positive / near-miss tests for the protolint v3 checks.
 
-budget-leak, seam-purity, async-discipline and wire-drift each get the
-TP-plus-nearest-legal-idiom treatment, and the two acceptance scenarios
-from ISSUE 6 are pinned explicitly: a budget ``acquire()`` leaked only
-on an exception path is caught, and injecting ``time.time()`` into
-``repro.transport.endpoint`` fails seam-purity.
+budget-leak, the reachability rule of determinism and wire-drift each
+get the TP-plus-nearest-legal-idiom treatment, and two acceptance
+scenarios are pinned explicitly: a budget ``acquire()`` leaked only on
+an exception path is caught, and injecting ``time.time()`` into
+``repro.transport.endpoint`` fails determinism.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from pathlib import Path
 
 from repro.analysis.core import Finding, ModuleUnit, run_passes
 from repro.analysis.passes import (
-    AsyncDisciplinePass,
     BudgetLeakPass,
-    SeamPurityPass,
+    DeterminismPass,
     WireDriftPass,
 )
 
@@ -31,6 +30,12 @@ def project_findings(pass_obj, *paths: Path) -> list[Finding]:
 
 def symbols(findings: list[Finding]) -> set[str]:
     return {f.symbol for f in findings}
+
+
+def ambient(findings: list[Finding]) -> list[Finding]:
+    """The reachability rule's findings (the determinism pass's
+    module-scope rule also fires inside transport fixtures)."""
+    return [f for f in findings if f.symbol.startswith("ambient:")]
 
 
 def real_units() -> list[ModuleUnit]:
@@ -102,26 +107,29 @@ class TestBudgetLeak:
 
 
 class TestSeamPurity:
+    """The reachability rule of the determinism pass."""
+
     def test_fixture_true_positives(self):
         findings = project_findings(
-            SeamPurityPass(), FIXTURES / "transport" / "bad_seam.py"
+            DeterminismPass(), FIXTURES / "transport" / "bad_seam.py"
         )
-        assert symbols(findings) == {
+        assert symbols(ambient(findings)) == {
             "ambient:repro.transport.bad_seam.stamp_arrival->time.time",
             "ambient:repro.transport.bad_seam._ambient_clock_helper->time.monotonic",
         }
 
     def test_perf_counter_near_miss_stays_silent(self):
         findings = project_findings(
-            SeamPurityPass(), FIXTURES / "transport" / "bad_seam.py"
+            DeterminismPass(), FIXTURES / "transport" / "bad_seam.py"
         )
         assert not any("perf_counter" in f.symbol for f in findings)
+        assert not any(f.line >= 24 for f in findings)
 
     def test_interprocedural_reach_names_the_helper(self):
         findings = project_findings(
-            SeamPurityPass(), FIXTURES / "transport" / "bad_seam.py"
+            DeterminismPass(), FIXTURES / "transport" / "bad_seam.py"
         )
-        helper = [f for f in findings if "_ambient_clock_helper" in f.symbol]
+        helper = [f for f in ambient(findings) if "_ambient_clock_helper" in f.symbol]
         assert helper  # caught through the call graph, not just textually
 
     def test_adapter_module_is_exempt(self, tmp_path):
@@ -142,12 +150,12 @@ class TestSeamPurity:
             "def draw():\n"
             "    return random.random()\n"
         )
-        assert project_findings(SeamPurityPass(), user, adapter) == []
+        assert project_findings(DeterminismPass(), user, adapter) == []
 
     def test_injecting_time_time_into_endpoint_fails(self):
-        # ISSUE 6 acceptance: the real tree is clean, but the same tree
-        # with a wall-clock call spliced into the transport endpoint is
-        # not — proving the pass watches the real seam, not a toy.
+        # The real tree is clean, but the same tree with a wall-clock
+        # call spliced into the transport endpoint is not — proving the
+        # pass watches the real seam, not a toy.
         units = real_units()
         endpoint = next(u for u in units if u.module == "repro.transport.endpoint")
         source = endpoint.source.replace(
@@ -167,46 +175,14 @@ class TestSeamPurity:
             tree=ast.parse(source),
         )
         swapped = [tainted if u.module == endpoint.module else u for u in units]
-        findings = run_passes(swapped, [SeamPurityPass()])
+        findings = run_passes(swapped, [DeterminismPass()])
         assert any(
             f.symbol.endswith("->time.time") and "endpoint" in f.path
             for f in findings
         ), findings
 
     def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [SeamPurityPass()]) == []
-
-
-class TestAsyncDiscipline:
-    def test_fixture_true_positives(self):
-        findings = project_findings(
-            AsyncDisciplinePass(), FIXTURES / "app" / "bad_async.py"
-        )
-        assert symbols(findings) == {
-            "blocking:repro.app.bad_async.drain_blocking->time.sleep",
-            "unawaited:repro.app.bad_async.fire_and_forget->repro.app.bad_async.pump_frames",
-        }
-
-    def test_awaited_and_task_wrapped_near_misses_stay_silent(self):
-        findings = project_findings(
-            AsyncDisciplinePass(), FIXTURES / "app" / "bad_async.py"
-        )
-        assert not any("ok_awaited" in f.symbol for f in findings)
-        assert not any("ok_task_wrapped" in f.symbol for f in findings)
-
-    def test_no_async_roots_no_findings(self, tmp_path):
-        path = tmp_path / "repro" / "app" / "sync_only.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "import time\n"
-            "__all__ = []\n"
-            "def f():\n"
-            "    time.sleep(1)\n"
-        )
-        assert project_findings(AsyncDisciplinePass(), path) == []
-
-    def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [AsyncDisciplinePass()]) == []
+        assert run_passes(real_units(), [DeterminismPass()]) == []
 
 
 class TestWireDrift:

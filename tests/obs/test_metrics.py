@@ -118,26 +118,6 @@ class TestHistogram:
         assert hist.sample()["buckets"] == {"3": 1}
 
 
-class TestTimer:
-    def test_measure_uses_injected_clock(self):
-        time = {"now": 0.0}
-        registry = Registry(clock=lambda: time["now"])
-        timer = registry.timer("s", "t")
-        with timer.measure():
-            time["now"] = 2.5
-        assert timer.histogram.count == 1
-        assert timer.histogram.total == pytest.approx(2.5)
-
-    def test_measure_records_on_exception(self):
-        time = {"now": 0.0}
-        timer = Registry(clock=lambda: time["now"]).timer("s", "t")
-        with pytest.raises(RuntimeError):
-            with timer.measure():
-                time["now"] = 1.0
-                raise RuntimeError("boom")
-        assert timer.histogram.count == 1
-
-
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = Registry()
@@ -148,8 +128,6 @@ class TestRegistry:
         registry.counter("a", "x")
         with pytest.raises(ValueError):
             registry.gauge("a", "x")
-        with pytest.raises(ValueError):
-            registry.timer("a", "x")
 
     def test_samples_sorted_by_scope_then_name(self):
         registry = Registry()
