@@ -55,9 +55,8 @@ def main(argv: list[str] | None = None) -> None:
             print(f"trace: {records} records -> {options.trace}")
 
 
-def _run(loop: EventLoop | ShardedLoop, shards: int = 0) -> None:
+def _run(loop: EventLoop, shards: int = 0) -> None:
     if shards:
-        netloop = loop.member(0)
         # Batch cross-shard egress briefly so envelopes mix shards.
         sender = ShardedEndpoint(
             loop, mtu=1500, shards=shards, idle_timeout=5.0, flush_window=0.001
@@ -66,11 +65,10 @@ def _run(loop: EventLoop | ShardedLoop, shards: int = 0) -> None:
             loop, mtu=1500, shards=shards, idle_timeout=5.0, flush_window=0.001
         )
     else:
-        netloop = loop
         sender = ChunkEndpoint(loop, mtu=1500, idle_timeout=5.0)
         receiver = ChunkEndpoint(loop, mtu=1500, idle_timeout=5.0)
     net = build_shared_bottleneck(
-        netloop,
+        loop,
         pairs=[(receiver.receive_packet, sender.receive_packet)],
         bottleneck=HopSpec(mtu=1500, rate_bps=155e6, delay=0.001, loss_rate=LOSS),
         reverse=HopSpec(mtu=1500, rate_bps=155e6, delay=0.001, loss_rate=LOSS),

@@ -115,6 +115,11 @@ class ProjectGraph:
         self._nodes: dict[str, list[ast.AST]] = {}
         for unit in units:
             self._add_unit(unit)
+        #: class qualname -> its methods' qualnames, for constructor calls.
+        self._methods_of: dict[str, list[str]] = {}
+        for qual, info in self.functions.items():
+            if info.cls is not None:
+                self._methods_of.setdefault(f"{info.module}.{info.cls}", []).append(qual)
         for importer, candidate, line in self._deferred_edges:
             if candidate in self.units and candidate not in self._imports_of[importer]:
                 self._add_edge(importer, candidate, line)
@@ -268,14 +273,10 @@ class ProjectGraph:
             if target is not None and target in self.functions:
                 return {target}, True
             # A class constructor: Cls() calls Cls.__init__ and makes the
-            # class's methods reachable in spirit; map to its methods'
-            # qualname prefix when any exist.
-            if target is not None:
-                methods = {
-                    q for q in self.functions if q.startswith(target + ".")
-                }
-                if methods:
-                    return methods, True
+            # class's methods reachable in spirit; map to its methods
+            # when it has any.
+            if target in self._methods_of:
+                return set(self._methods_of[target]), True
             return set(), True
         if isinstance(func, ast.Attribute):
             dotted = dotted_name(func)

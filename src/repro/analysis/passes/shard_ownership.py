@@ -109,6 +109,7 @@ OWNER_DOMAINS: dict[str, str] = {
     "GlobalBudgetPool": "global-pool",
     # externally-defined types reachable from transport/host fields
     "EventLoop": "per-shard",
+    "_Lane": "per-shard",
     "ShardedLoop": "per-endpoint",
     "BoundedSet": "per-shard",
 }

@@ -22,7 +22,6 @@ from typing import Callable
 
 from repro.core.errors import EndpointError
 from repro.netsim.events import EventLoop
-from repro.netsim.shardloop import ShardedLoop
 from repro.obs import counter, gauge
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint, Connection
@@ -89,7 +88,7 @@ class ConversationOutcome:
 class ConcurrentWorkload:
     """Drive many staggered conversations across one endpoint pair."""
 
-    loop: EventLoop | ShardedLoop
+    loop: EventLoop
     sender: ChunkEndpoint | ShardedEndpoint
     receiver: ChunkEndpoint | ShardedEndpoint
     specs: list[ConversationSpec] = field(default_factory=list)

@@ -4,6 +4,10 @@ Everything in :mod:`repro.netsim` — link serialization, propagation,
 router forwarding, multipath skew — is expressed as callbacks scheduled
 on one :class:`EventLoop`.  Simulated time is a float in seconds.
 
+Events are keyed ``(time, lane, seq)``: a plain loop uses lane 0, and
+:class:`~repro.netsim.shardloop.ShardedLoop` gives each shard a lane of
+the same heap, so one :meth:`EventLoop.run` dispatches every shard.
+
 The loop exposes a narrow observer seam (:class:`ScheduleObserver`,
 :func:`set_schedule_observer`) used by the opt-in runtime sanitizer
 :mod:`repro.analysis.simsan`: each schedule and each dispatch is
@@ -36,7 +40,9 @@ _OBS_SIM_TIME = counter(
 
 
 class ScheduleObserver(Protocol):
-    """Observer seam for :mod:`repro.analysis.simsan`."""
+    """Observer seam for :mod:`repro.analysis.simsan`; *loop* is the loop
+    owning the heap, so a lane's events are scheduled and dispatched on
+    its :class:`~repro.netsim.shardloop.ShardedLoop`."""
 
     def on_schedule(
         self, loop: "EventLoop", time: float, seq: int, callback: Callable[[], None]
@@ -65,9 +71,13 @@ def get_schedule_observer() -> ScheduleObserver | None:
 class EventLoop:
     """Priority-queue event loop with stable FIFO ordering at equal times."""
 
+    #: tie-break between loops sharing one heap; a plain loop is lane 0.
+    _lane = 0
+
     def __init__(self) -> None:
-        self._queue: list[tuple[float, int, Callable[[], None]]] = []
+        self._queue: list[tuple[float, int, int, Callable[[], None]]] = []
         self._counter = itertools.count()
+        self._root = self
         self.now = 0.0
         self._processed = 0
 
@@ -83,76 +93,54 @@ class EventLoop:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         seq = next(self._counter)
         if _observer is not None:
-            _observer.on_schedule(self, time, seq, callback)
-        heapq.heappush(self._queue, (time, seq, callback))
+            _observer.on_schedule(self._root, time, seq, callback)
+        heapq.heappush(self._queue, (time, self._lane, seq, callback))
 
     def run(self, until: float | None = None) -> float:
         """Process events (optionally only up to time *until*).
 
-        Returns the simulated time after the last processed event.
+        Returns the simulated time after the last processed event.  With
+        *until*, the clock ends exactly at *until*; an *until* before
+        ``now`` raises :class:`ValueError`.  A lane runs its whole heap.
         """
-        started = self.now
+        loop = self._root
+        queue = self._queue
+        started = loop.now
         try:
-            while self._queue:
-                time, seq, callback = self._queue[0]
+            while queue:
+                time, _lane, seq, callback = queue[0]
                 if until is not None and time > until:
-                    self.now = until
-                    return self.now
-                heapq.heappop(self._queue)
-                self.now = time
-                self._processed += 1
+                    break
+                heapq.heappop(queue)
+                loop.now = time
+                loop._processed += 1
                 _OBS_EVENTS.inc()
                 if _observer is not None:
-                    _observer.on_dispatch(self, time, seq, callback)
+                    _observer.on_dispatch(loop, time, seq, callback)
                 callback()
-            return self.now
+            if until is not None:
+                self.advance_to(until)
+            return loop.now
         finally:
-            if self.now > started:
-                _OBS_SIM_TIME.inc(self.now - started)
-
-    def next_event_time(self) -> float | None:
-        """Time of the earliest pending event, or ``None`` when idle."""
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
-    def step(self) -> bool:
-        """Dispatch exactly one event; returns False when the queue is empty.
-
-        Used by :class:`repro.netsim.shardloop.ShardedLoop` to interleave
-        several loops in deterministic lockstep.  Sim-time accounting is the
-        composer's job (it knows the global clock), so ``step`` advances
-        ``now`` without touching the sim-time counter.
-        """
-        if not self._queue:
-            return False
-        time, seq, callback = heapq.heappop(self._queue)
-        self.now = time
-        self._processed += 1
-        _OBS_EVENTS.inc()
-        if _observer is not None:
-            _observer.on_dispatch(self, time, seq, callback)
-        callback()
-        return True
+            if loop.now > started:
+                _OBS_SIM_TIME.inc(loop.now - started)
 
     def advance_to(self, time: float) -> None:
         """Move the idle clock forward to *time* without dispatching.
 
-        Refuses to rewind and refuses to skip past a pending event — the
-        lockstep composer must dispatch that event (via :meth:`step`) first.
+        Refuses to rewind and refuses to skip past a pending event.
         """
         if time < self.now:
             raise ValueError(f"cannot advance to {time} < now {self.now}")
-        head = self.next_event_time()
-        if head is not None and time > head:
+        if self._queue and time > self._queue[0][0]:
             raise ValueError(
-                f"cannot advance to {time} past pending event at {head}"
+                f"cannot advance to {time} past pending event at {self._queue[0][0]}"
             )
-        self.now = time
+        self._root.now = time
 
     def pending(self) -> int:
         return len(self._queue)
 
     @property
     def events_processed(self) -> int:
-        return self._processed
+        return self._root._processed

@@ -1,46 +1,49 @@
-"""Deterministic lockstep composition of several event loops.
+"""One event heap shared by every shard, one lane per shard.
 
-A sharded endpoint gives every worker shard its own
-:class:`~repro.netsim.events.EventLoop` so shard state never races, but
-the simulation still needs one global clock.  :class:`ShardedLoop`
-composes N member loops and advances them in deterministic lockstep:
-each iteration it picks the member with the earliest pending event —
-ties broken by member index — moves *every* member's idle clock to that
-time, then dispatches exactly one event on the chosen member.  Replaying
-the same seed therefore replays the same global event order regardless
-of how work is distributed across shards.
-
-Member 0 is the primary (network) loop: :meth:`at` and :meth:`schedule`
-delegate to it, so a ``ShardedLoop`` can stand in for a plain
-``EventLoop`` anywhere a driver only schedules and runs.  Sim-time is
-accounted once, by the composer, against the same
-``netsim/loop.sim_time_total`` counter the plain loop uses — member
-:meth:`~repro.netsim.events.EventLoop.step` calls deliberately skip it.
+A sharded endpoint gives every worker shard its own view of the event
+loop for its timers and egress, but the simulation has one clock and one
+event order.  :class:`ShardedLoop` is an
+:class:`~repro.netsim.events.EventLoop` (lane 0, the network and the
+application driver) whose :meth:`add_member` returns lane views of the
+same heap and clock.  Events are keyed ``(time, lane, seq)``, so at equal
+times lane 0 runs first, then shard 1, 2, …, and each lane stays FIFO.
+Replaying the same seed therefore replays the same global event order
+regardless of how work is distributed across shards.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.netsim.events import EventLoop
-from repro.obs import counter
 
 __all__ = ["ShardedLoop"]
 
-_OBS_SIM_TIME = counter(
-    "netsim", "loop.sim_time_total", "simulated seconds advanced across run() calls"
-)
+
+class _Lane(EventLoop):
+    """A member's view of its :class:`ShardedLoop`: schedules into lane
+    *lane* of the shared heap and reads the shared clock."""
+
+    def __init__(self, root: ShardedLoop, lane: int) -> None:
+        self._root = root
+        self._lane = lane
+        self._queue = root._queue
+        self._counter = root._counter
+
+    @property
+    def now(self) -> float:
+        return self._root.now
 
 
-class ShardedLoop:
-    """N event loops advancing under one clock, one event at a time."""
+class ShardedLoop(EventLoop):
+    """One event loop whose members schedule into per-shard lanes."""
 
     def __init__(self, members: int = 1) -> None:
         if members < 1:
             raise ValueError(f"need at least one member loop (members={members})")
-        self._members: list[EventLoop] = [EventLoop() for _ in range(members)]
+        super().__init__()
+        self._members: list[EventLoop] = [self]
+        for _ in range(members - 1):
+            self.add_member()
 
-    # -- membership ----------------------------------------------------
     @property
     def members(self) -> tuple[EventLoop, ...]:
         return tuple(self._members)
@@ -49,65 +52,10 @@ class ShardedLoop:
         return self._members[index]
 
     def add_member(self) -> EventLoop:
-        """Create, register, and return a new member loop at the global now."""
-        loop = EventLoop()
-        loop.now = self.now
-        self._members.append(loop)
-        return loop
+        """Create, register, and return a new lane on the shared heap."""
+        lane = _Lane(self, len(self._members))
+        self._members.append(lane)
+        return lane
 
-    # -- EventLoop-compatible surface ----------------------------------
-    @property
-    def now(self) -> float:
-        return self._members[0].now
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run *callback* at ``now + delay`` on the primary loop."""
-        self._members[0].schedule(delay, callback)
-
-    def at(self, time: float, callback: Callable[[], None]) -> None:
-        """Run *callback* at absolute *time* on the primary loop."""
-        self._members[0].at(time, callback)
-
-    def pending(self) -> int:
-        return sum(member.pending() for member in self._members)
-
-    @property
-    def events_processed(self) -> int:
-        return sum(member.events_processed for member in self._members)
-
-    # -- lockstep run --------------------------------------------------
-    def _earliest(self) -> tuple[float, int] | None:
-        """(time, member index) of the globally earliest pending event."""
-        best: tuple[float, int] | None = None
-        for index, member in enumerate(self._members):
-            head = member.next_event_time()
-            if head is None:
-                continue
-            if best is None or (head, index) < best:
-                best = (head, index)
-        return best
-
-    def run(self, until: float | None = None) -> float:
-        """Process events across all members (optionally up to *until*).
-
-        Returns the global simulated time after the last processed event.
-        """
-        started = self.now
-        try:
-            while True:
-                best = self._earliest()
-                if best is None:
-                    break
-                time, index = best
-                if until is not None and time > until:
-                    break
-                for member in self._members:
-                    member.advance_to(time)
-                self._members[index].step()
-            if until is not None and until > self.now:
-                for member in self._members:
-                    member.advance_to(until)
-            return self.now
-        finally:
-            if self.now > started:
-                _OBS_SIM_TIME.inc(self.now - started)
+    # The traced benchmark wraps ``ShardedLoop.run`` by name.
+    run = EventLoop.run

@@ -24,9 +24,10 @@ Three shared things remain, each with its own seam:
   round-robin into MTU-sized envelopes, so packets mixing conversations
   *and shards* are the normal transmit path.
 
-Each shard runs on its own member of a
-:class:`~repro.netsim.shardloop.ShardedLoop`, advanced in deterministic
-lockstep — same seed, same global event order, same delivered bytes.
+Each shard schedules into its own lane of a
+:class:`~repro.netsim.shardloop.ShardedLoop`: one heap, one clock, events
+ordered by ``(time, lane, seq)`` — same seed, same global event order,
+same delivered bytes.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class ShardedEndpoint:
     ``sweep`` / ``stats``): every conversation-scoped call is forwarded
     to the shard :func:`shard_for` names, so callers never see the
     partition.  Construct it over a :class:`ShardedLoop` — the sharded
-    endpoint adds one member loop per shard and leaves member 0 (the
-    primary) for the network and the application driver.
+    endpoint adds one lane per shard and leaves lane 0 (the loop
+    itself) for the network and the application driver.
     """
 
     def __init__(

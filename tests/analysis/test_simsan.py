@@ -17,6 +17,7 @@ from repro.analysis import simsan
 from repro.core.errors import SimSanError
 from repro.netsim import events as events_mod
 from repro.netsim.events import EventLoop
+from repro.netsim.shardloop import ShardedLoop
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +53,15 @@ class TestRegression:
         # The callsite points at the scheduling line in this file, not
         # at the event-loop internals.
         assert "test_simsan.py" in violation.callsite
+
+    def test_sanitizer_catches_mutation_on_a_shard_lane(self):
+        # A lane's schedule and the loop's dispatch must meet on one key.
+        loop = ShardedLoop()
+        with simsan.session() as san:
+            mutate_after_schedule(loop.add_member())
+            with pytest.raises(SimSanError, match="mutation-after-schedule"):
+                loop.run()
+        assert len(san.violations) == 1
 
     def test_bug_is_undetected_without_the_hook(self):
         # The same injected bug with the observer disabled: the run

@@ -44,8 +44,7 @@ def jain(values: list[int]) -> float:
 def run_scale(shards: int | None):
     """Drive the full workload; returns (loop, sender, receiver, outcomes)."""
     if shards is None:
-        loop: EventLoop | ShardedLoop = EventLoop()
-        netloop = loop
+        loop = EventLoop()
         sender: ChunkEndpoint | ShardedEndpoint = ChunkEndpoint(
             loop, mtu=1500, idle_timeout=5.0, flush_window=FLUSH_WINDOW
         )
@@ -54,7 +53,6 @@ def run_scale(shards: int | None):
         )
     else:
         loop = ShardedLoop()
-        netloop = loop.member(0)
         sender = ShardedEndpoint(
             loop, mtu=1500, shards=shards, idle_timeout=5.0,
             flush_window=FLUSH_WINDOW,
@@ -64,7 +62,7 @@ def run_scale(shards: int | None):
             flush_window=FLUSH_WINDOW,
         )
     net = build_shared_bottleneck(
-        netloop,
+        loop,
         pairs=[(receiver.receive_packet, sender.receive_packet)],
         bottleneck=HopSpec(mtu=1500, rate_bps=622e6, delay=0.0005, loss_rate=LOSS),
         reverse=HopSpec(mtu=1500, rate_bps=622e6, delay=0.0005),

@@ -55,6 +55,23 @@ class TestScheduling:
         loop.run()
         assert hits == [1, 5]
 
+    def test_run_until_on_a_drained_queue_reaches_until(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: None)
+        assert loop.run(until=3.0) == 3.0
+        assert loop.now == 3.0
+
+    def test_run_until_before_now_raises_instead_of_rewinding(self):
+        loop = EventLoop()
+        hits = []
+        loop.run(until=5.0)
+        loop.at(7.0, lambda: hits.append(7))
+        with pytest.raises(ValueError):
+            loop.run(until=3.0)
+        assert loop.now == 5.0
+        assert hits == []
+        assert loop.pending() == 1
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             EventLoop().schedule(-1, lambda: None)

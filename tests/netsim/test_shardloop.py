@@ -1,4 +1,4 @@
-"""Lockstep composition: N member loops, one deterministic clock."""
+"""ShardedLoop: per-shard lanes on one heap, one deterministic clock."""
 
 from __future__ import annotations
 
@@ -9,26 +9,6 @@ from repro.netsim.shardloop import ShardedLoop
 
 
 class TestEventLoopPrimitives:
-    def test_next_event_time_peeks_without_dispatching(self):
-        loop = EventLoop()
-        assert loop.next_event_time() is None
-        loop.at(2.0, lambda: None)
-        loop.at(1.0, lambda: None)
-        assert loop.next_event_time() == 1.0
-        assert loop.events_processed == 0
-
-    def test_step_dispatches_exactly_one_event(self):
-        loop = EventLoop()
-        ran: list[int] = []
-        loop.at(1.0, lambda: ran.append(1))
-        loop.at(2.0, lambda: ran.append(2))
-        assert loop.step() is True
-        assert ran == [1]
-        assert loop.now == 1.0
-        assert loop.step() is True
-        assert loop.step() is False
-        assert ran == [1, 2]
-
     def test_advance_to_refuses_rewind_and_event_skips(self):
         loop = EventLoop()
         loop.advance_to(5.0)
@@ -85,7 +65,7 @@ class TestShardedLoop:
 
         def from_primary() -> None:
             # A callback on the primary may schedule on a shard member
-            # relative to *its* clock — lockstep keeps them equal.
+            # relative to *its* clock — every lane reads the one clock.
             shard.schedule(0.5, lambda: ran.append(loop.now))
 
         loop.at(1.0, from_primary)
@@ -100,6 +80,16 @@ class TestShardedLoop:
         assert loop.now == 3.0
         assert shard.now == 3.0
         assert shard.pending() == 1
+
+    def test_run_until_on_a_drained_heap_reaches_until_and_never_rewinds(self):
+        loop = ShardedLoop()
+        shard = loop.add_member()
+        shard.at(1.0, lambda: None)
+        loop.run(until=4.0)
+        assert loop.now == shard.now == 4.0
+        with pytest.raises(ValueError):
+            loop.run(until=3.0)
+        assert loop.now == 4.0
 
     def test_pending_and_events_processed_aggregate(self):
         loop = ShardedLoop()

@@ -3,7 +3,8 @@
 :mod:`repro.analysis.modelcheck` explores the *declared* transition
 relation; this suite closes the loop in the other direction — any
 receiver-side event sequence the model accepts must drive a live
-:class:`~repro.transport.endpoint.ChunkEndpoint` through the matching
+:class:`~repro.transport.endpoint.ChunkEndpoint`, and a four-shard
+:class:`~repro.transport.shard.ShardedEndpoint`, through the matching
 observable lifecycle: same table membership, same closed state, same
 tombstones, refusals exactly where the model refuses.
 
@@ -24,9 +25,11 @@ from repro.analysis.modelcheck import ModelConfig, apply_step, enabled, initial_
 from repro.core.packet import Packet
 from repro.core.state_table import STATE_TABLE
 from repro.netsim.events import EventLoop
+from repro.netsim.shardloop import ShardedLoop
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint, ConnectionState
 from repro.transport.sender import ChunkTransportSender
+from repro.transport.shard import ShardedEndpoint
 
 from tests.conftest import make_chunk
 
@@ -59,11 +62,27 @@ OBSERVABLE = {
 }
 
 
-def observe(endpoint: ChunkEndpoint) -> str:
+def plain_endpoint() -> tuple[ChunkEndpoint, ChunkEndpoint]:
+    endpoint = ChunkEndpoint(EventLoop(), idle_timeout=0.5, close_linger=0.5)
+    return endpoint, endpoint
+
+
+def sharded_endpoint() -> tuple[ShardedEndpoint, ChunkEndpoint]:
+    endpoint = ShardedEndpoint(
+        ShardedLoop(), shards=4, idle_timeout=0.5, close_linger=0.5
+    )
+    return endpoint, endpoint.endpoint_for(CID)
+
+
+#: Endpoint kind -> (driver surface, the worker whose table owns CID).
+ENDPOINTS = {"plain": plain_endpoint, "sharded": sharded_endpoint}
+
+
+def observe(endpoint: ChunkEndpoint | ShardedEndpoint, owner: ChunkEndpoint) -> str:
     connection = endpoint.connection(CID)
     if connection is not None:
         return "closing" if connection.state is ConnectionState.CLOSED else "open"
-    if CID in endpoint.table.evicted_ids:
+    if CID in owner.table.evicted_ids:
         return "evicted"
     return "absent"
 
@@ -100,36 +119,40 @@ events = st.lists(st.sampled_from(sorted(EVENT_NAMES)), min_size=1, max_size=8)
 @settings(max_examples=200, deadline=None)
 @given(events)
 def test_model_accepted_sequences_drive_the_live_endpoint(sequence):
-    endpoint = ChunkEndpoint(EventLoop(), idle_timeout=0.5, close_linger=0.5)
-    sender = ChunkTransportSender(ConnectionConfig(connection_id=CID, tpdu_units=16))
-    state = initial_state(MODEL)
-    now = 0.0
+    for kind, make_endpoint in ENDPOINTS.items():
+        endpoint, owner = make_endpoint()
+        sender = ChunkTransportSender(ConnectionConfig(connection_id=CID, tpdu_units=16))
+        state = initial_state(MODEL)
+        now = 0.0
 
-    for name in sequence:
-        step = model_step(state, EVENT_NAMES[name])
-        if step is None:
-            break  # conformance holds for the accepted prefix
-        idx, transition = step
-        state, _ = apply_step(state, idx, transition, STATE_TABLE, MODEL)
-        now += 1.0
+        for name in sequence:
+            step = model_step(state, EVENT_NAMES[name])
+            if step is None:
+                break  # conformance holds for the accepted prefix
+            idx, transition = step
+            state, _ = apply_step(state, idx, transition, STATE_TABLE, MODEL)
+            now += 1.0
 
-        if name == "sweep":
-            endpoint.sweep(now=now)
-            refused = 0
-        else:
-            chunks = wire_chunks(sender, name, transition.transition_id)
-            refused = endpoint.receive_packet(Packet(chunks=chunks).encode()).refused_chunks
+            if name == "sweep":
+                endpoint.sweep(now=now)
+                refused = 0
+            else:
+                chunks = wire_chunks(sender, name, transition.transition_id)
+                refused = endpoint.receive_packet(
+                    Packet(chunks=chunks).encode()
+                ).refused_chunks
 
-        # The model refuses exactly where the endpoint refuses.
-        model_refused = transition.transition_id.startswith("refuse-")
-        assert (refused > 0) == model_refused, (name, transition.transition_id)
+            # The model refuses exactly where the endpoint refuses.
+            model_refused = transition.transition_id.startswith("refuse-")
+            assert (refused > 0) == model_refused, (kind, name, transition.transition_id)
 
-        # And the observable lifecycle class matches the model state.
-        assert observe(endpoint) == OBSERVABLE[state.convs[0].state], (
-            name,
-            transition.transition_id,
-            state.convs[0],
-        )
+            # And the observable lifecycle class matches the model state.
+            assert observe(endpoint, owner) == OBSERVABLE[state.convs[0].state], (
+                kind,
+                name,
+                transition.transition_id,
+                state.convs[0],
+            )
 
 
 @settings(max_examples=50, deadline=None)
@@ -138,29 +161,31 @@ def test_refusal_counters_split_like_the_model(sequence):
     # refuse-unknown bumps refused_unknown; refuse-evicted-* /
     # refuse-tombstoned bump refused_evicted.  Replay and compare the
     # per-kind refusal tallies (in refused chunks, so count per chunk).
-    endpoint = ChunkEndpoint(EventLoop(), idle_timeout=0.5, close_linger=0.5)
-    sender = ChunkTransportSender(ConnectionConfig(connection_id=CID, tpdu_units=16))
-    state = initial_state(MODEL)
-    now = 0.0
-    expect_unknown = 0
-    expect_evicted = 0
+    for kind, make_endpoint in ENDPOINTS.items():
+        endpoint, _owner = make_endpoint()
+        sender = ChunkTransportSender(ConnectionConfig(connection_id=CID, tpdu_units=16))
+        state = initial_state(MODEL)
+        now = 0.0
+        expect_unknown = 0
+        expect_evicted = 0
 
-    for name in sequence:
-        step = model_step(state, EVENT_NAMES[name])
-        if step is None:
-            break
-        idx, transition = step
-        state, _ = apply_step(state, idx, transition, STATE_TABLE, MODEL)
-        now += 1.0
-        if name == "sweep":
-            endpoint.sweep(now=now)
-            continue
-        chunks = wire_chunks(sender, name, transition.transition_id)
-        endpoint.receive_packet(Packet(chunks=chunks).encode())
-        if transition.transition_id == "refuse-unknown":
-            expect_unknown += len(chunks)
-        elif transition.transition_id.startswith("refuse-"):
-            expect_evicted += len(chunks)
+        for name in sequence:
+            step = model_step(state, EVENT_NAMES[name])
+            if step is None:
+                break
+            idx, transition = step
+            state, _ = apply_step(state, idx, transition, STATE_TABLE, MODEL)
+            now += 1.0
+            if name == "sweep":
+                endpoint.sweep(now=now)
+                continue
+            chunks = wire_chunks(sender, name, transition.transition_id)
+            endpoint.receive_packet(Packet(chunks=chunks).encode())
+            if transition.transition_id == "refuse-unknown":
+                expect_unknown += len(chunks)
+            elif transition.transition_id.startswith("refuse-"):
+                expect_evicted += len(chunks)
 
-    assert endpoint.refused_unknown == expect_unknown
-    assert endpoint.refused_evicted == expect_evicted
+        stats = endpoint.stats()
+        assert stats["refused_unknown"] == expect_unknown, kind
+        assert stats["refused_evicted"] == expect_evicted, kind

@@ -42,20 +42,18 @@ def run_workload(
     ``(delivered stream, touched bytes)`` keyed by C.ID.
 
     ``shards=None`` builds the plain unsharded pair; an integer builds
-    the sharded composition over a lockstep :class:`ShardedLoop`.
+    the sharded composition over a :class:`ShardedLoop`.
     """
     if shards is None:
-        loop: EventLoop | ShardedLoop = EventLoop()
-        netloop = loop
+        loop = EventLoop()
         sender: ChunkEndpoint | ShardedEndpoint = ChunkEndpoint(loop, mtu=MTU)
         receiver: ChunkEndpoint | ShardedEndpoint = ChunkEndpoint(loop, mtu=MTU)
     else:
         loop = ShardedLoop()
-        netloop = loop.member(0)
         sender = ShardedEndpoint(loop, mtu=MTU, shards=shards)
         receiver = ShardedEndpoint(loop, mtu=MTU, shards=shards)
     topology = build_shared_bottleneck(
-        netloop,
+        loop,
         pairs=[(receiver.receive_packet, sender.receive_packet)],
         bottleneck=HopSpec(mtu=MTU, rate_bps=100e6, delay=0.001, loss_rate=loss_rate),
         seed=seed,
