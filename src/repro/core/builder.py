@@ -10,12 +10,19 @@ Two layers are provided:
 
 - :func:`chunks_from_labels` — the grouping rule itself: per-unit labels
   in, maximally shared chunk headers out (this regenerates the worked
-  example of Figure 2 exactly);
+  example of Figure 2 exactly, and is the oracle the framer is tested
+  against);
 - :class:`ChunkStreamBuilder` — a sender-side framer that takes a stream
   of external PDUs (application frames, the ALF level), cuts transport
   PDUs every ``tpdu_units`` data units, and emits the chunks.  The two
   framings are independent, as in Figure 1: one external PDU may span
   several TPDUs and vice versa.
+
+On the sending side a run of units can only break where an ST bit is
+set, i.e. at a TPDU end or at the frame end, so the framer never labels
+single units: it cuts each frame into the segments that lie inside one
+TPDU and builds one chunk per segment directly.  The result is the
+chunk list :func:`chunks_from_labels` forms from the per-unit labels.
 """
 
 from __future__ import annotations
@@ -181,36 +188,41 @@ class ChunkStreamBuilder:
                 f"{self.unit_bytes}-byte atomic units"
             )
         x_id = next(self.xpdu_ids) if frame_id is None else frame_id
-        n_units = len(payload) // self.unit_bytes
-        units: list[LabeledUnit] = []
-        for i in range(n_units):
-            last_of_frame = i == n_units - 1
-            last_of_tpdu = self._t_sn == self._current_tpdu_units - 1
-            if end_of_connection and last_of_frame:
-                last_of_tpdu = True
-            units.append(
-                LabeledUnit(
-                    data=payload[i * self.unit_bytes : (i + 1) * self.unit_bytes],
-                    c=FramingTuple(
-                        self.connection_id,
-                        self._c_sn,
-                        st=end_of_connection and last_of_frame,
-                    ),
-                    t=FramingTuple(self._t_id, self._t_sn, st=last_of_tpdu),
-                    x=FramingTuple(x_id, i, st=last_of_frame),
+        unit_bytes = self.unit_bytes
+        n_units = len(payload) // unit_bytes
+        chunks: list[Chunk] = []
+        done = 0
+        while done < n_units:
+            # One segment: the rest of the frame or of the TPDU, whichever
+            # ends first.  Only its last unit can carry an ST bit.
+            length = min(self._current_tpdu_units - self._t_sn, n_units - done)
+            last_of_frame = done + length == n_units
+            last_of_connection = end_of_connection and last_of_frame
+            last_of_tpdu = (
+                self._t_sn + length == self._current_tpdu_units or last_of_connection
+            )
+            chunks.append(
+                Chunk(
+                    type=ChunkType.DATA,
                     size=self.unit_words,
+                    length=length,
+                    c=FramingTuple(self.connection_id, self._c_sn, last_of_connection),
+                    t=FramingTuple(self._t_id, self._t_sn, last_of_tpdu),
+                    x=FramingTuple(x_id, done, last_of_frame),
+                    payload=bytes(payload[done * unit_bytes : (done + length) * unit_bytes]),
                 )
             )
-            self._c_sn += 1
+            self._c_sn += length
+            done += length
             if last_of_tpdu:
                 self._t_id = next(self.tpdu_ids)
                 self._t_sn = 0
                 self._current_tpdu_units = self.tpdu_units
             else:
-                self._t_sn += 1
+                self._t_sn += length
         if end_of_connection:
             self._closed = True
-        return chunks_from_labels(units)
+        return chunks
 
     @property
     def current_tpdu_id(self) -> int:

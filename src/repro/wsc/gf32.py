@@ -13,9 +13,10 @@ GF(2^32)".  We construct the field as GF(2)[x] / p(x) with
 
 Addition is XOR; multiplication is carry-less multiply followed by
 reduction.  :func:`gf_mul` is the portable bit-serial version;
-:class:`Gf32Mul` is a nibble-table-accelerated variant used by the
-throughput benchmarks (the ablation the paper's "Implementation
-Considerations" appendix invites).
+:class:`Gf32Mul` is a nibble-table-accelerated multiply by a constant,
+used only by ``bench_claim_wsc2``'s bit-serial vs table ablation (the
+one the paper's "Implementation Considerations" appendix invites); the
+WSC-2 code paths multiply with :func:`gf_mul`.
 """
 
 from __future__ import annotations

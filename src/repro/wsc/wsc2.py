@@ -64,8 +64,10 @@ class Wsc2Accumulator:
     A run ``d_s .. d_{s+L-1}`` contributes ``alpha^s * H`` to P1 where
     ``H = sum_j alpha^j d_{s+j}`` is computed by a cheap Horner loop
     (one shift-reduce per symbol) and the single ``alpha^s`` scaling is
-    table-accelerated — so per-chunk cost is linear in the chunk with
-    only O(log s) full multiplications.
+    square-and-multiply (:func:`~repro.wsc.gf32.alpha_pow`: one
+    bit-serial :func:`~repro.wsc.gf32.gf_mul` per set bit of ``s``, over
+    precomputed ``alpha^(2^k)``) — so per-chunk cost is linear in the
+    chunk with only O(log s) full multiplications.
     """
 
     p0: int = 0
